@@ -171,42 +171,6 @@ def abduction_fingerprint(conditions, has_router: bool) -> dict[str, Any]:
     return fingerprint
 
 
-def compiled_admission_fingerprint(spec_fp: dict[str, Any] | str, cond,
-                                   label: str,
-                                   ctx) -> dict[str, Any]:
-    """The content address of one compiled admission check (the
-    per-pair closure cache in :mod:`repro.compiled.cache`).
-
-    ``spec_fp`` is the spec's fingerprint dict or its
-    :func:`stable_hash` — arm time passes the pre-computed hash so the
-    large spec payload is serialized once per spec, not once per pair.
-
-    Covers the full spec fingerprint — the observer dispatcher every
-    spec shares by *source* differs only through the operations it
-    closes over, so the spec content is what distinguishes two
-    structures' observers (the captured-state blindness contract of
-    :func:`_callable_source`, resolved by fingerprinting the captured
-    content instead) — plus the formula text actually lowered, the
-    pair, a tier/kind label, any explicit quantifier domains on the
-    evaluation context, and the compiler versions.  Bumping
-    :data:`~repro.compiled.lowering.ADMISSION_COMPILER_VERSION` (or
-    :data:`ENGINE_VERSION`) retires every cached closure at once.
-    """
-    from ..compiled.lowering import ADMISSION_COMPILER_VERSION
-    return {
-        "engine_version": ENGINE_VERSION,
-        "admission_compiler_version": ADMISSION_COMPILER_VERSION,
-        "spec": spec_fp,
-        "family": cond.family,
-        "m1": cond.m1,
-        "m2": cond.m2,
-        "label": label,
-        "text": getattr(cond, "dynamic_text", None) or cond.text,
-        "int_domain": repr(ctx.int_domain),
-        "obj_domain": repr(ctx.obj_domain),
-    }
-
-
 def inverse_fingerprint(inverse) -> dict[str, Any]:
     """Fingerprint of one inverse catalog entry (its undo program)."""
     return {

@@ -79,9 +79,6 @@ class ExecutionReport:
     shards: int = 1
     adaptive: str | None = None
     stable: bool = False
-    #: Whether admission ran through arm-time-compiled closures
-    #: (:mod:`repro.compiled`); never decision-changing.
-    compiled: bool = False
     commits: int = 0
     aborts: int = 0
     operations: int = 0
@@ -104,9 +101,6 @@ class ExecutionReport:
     #: Would-be admissions refused because the incoming operation does
     #: not commute with a logged operation's pending undo.
     undo_refusals: int = 0
-    #: Pair checks decided by a compiled closure (0 when
-    #: ``compiled=False``); purely observational, like the tier split.
-    compiled_hits: int = 0
     #: Condition evaluations that raised EvalError and resolved
     #: conservatively, with a bounded diagnostic sample of
     #: (structure, m1, m2, condition, error, stable) dicts.
@@ -179,6 +173,13 @@ class ExecutionReport:
                 if count > 0]
 
     @property
+    def compiled_hits(self) -> int:
+        """Always 0.  Admission has a single (interpreted) path; the
+        closure-compiled tier this counted is gone.  Kept read-only for
+        callers that still report the counter."""
+        return 0
+
+    @property
     def admission_rpcs(self) -> int:
         """Admission round-trips the service backend made (0 locally)."""
         return len(self.admission_latencies)
@@ -206,12 +207,18 @@ class ExecutionReport:
 
         Deliberately excludes how the decisions were reached — check
         counts (flat and sharded managers scan different volumes),
-        ``compiled_hits``, wall time — so the digest is the equality
-        the invariants demand: compiled == interpreted and
-        flat == sharded must produce byte-identical digests for the
-        same (structure, workload, policy, seed) at ``workers=1``.
+        wall time — so the digest is the equality the invariants
+        demand: flat == sharded and local == served must produce
+        byte-identical digests for the same (structure, workload,
+        policy, seed) at ``workers=1``.
+
+        States are hashed in the wire codec's canonical encoding (sets
+        sorted, values tagged), never by ``repr``: a ``frozenset``'s
+        repr order depends on the hash seed, and the digest must be the
+        same in every process.
         """
         from ..engine.fingerprint import stable_hash
+        from ..service.protocol import encode_value
         return stable_hash({
             "ds_name": self.ds_name,
             "policy": self.policy,
@@ -225,8 +232,8 @@ class ExecutionReport:
             "txn_statuses": sorted(
                 (txn_id, status.name)
                 for txn_id, status in self.txn_statuses.items()),
-            "final_state": repr(self.final_state),
-            "serial_state": repr(self.serial_state),
+            "final_state": encode_value(self.final_state),
+            "serial_state": encode_value(self.serial_state),
         })
 
 
@@ -238,7 +245,7 @@ class SpeculativeExecutor:
                  conflict_mode: str = "abort", registry=None,
                  workers: int = 1, batch: int = 1, shards: int = 1,
                  adaptive: str | None = None,
-                 stable: bool = False, compiled: bool = False,
+                 stable: bool = False,
                  backend: AdmissionBackend | None = None) -> None:
         if conflict_mode not in ("abort", "block"):
             raise ValueError(f"unknown conflict mode {conflict_mode!r}")
@@ -282,9 +289,6 @@ class SpeculativeExecutor:
         #: Arm the drift guard with compiled drift-stable conditions
         #: (requires a prior Session.compile_stable / CLI `stability`).
         self.stable = stable
-        #: Lower every armed condition into slot-specialized closures
-        #: at arm time (:mod:`repro.compiled`); decisions identical.
-        self.compiled = compiled
 
     def run(self, programs: list[list[tuple[str, tuple[Any, ...]]]],
             setup: list[tuple[str, tuple[Any, ...]]] | None = None) \
@@ -303,8 +307,7 @@ class SpeculativeExecutor:
         manager = self.backend.conflict_manager(self.ds_name,
                                                 policy=self.policy,
                                                 shards=self.shards,
-                                                stable=self.stable,
-                                                compiled=self.compiled)
+                                                stable=self.stable)
         transactions = [Transaction(i, list(ops))
                         for i, ops in enumerate(programs)]
         report = ExecutionReport(ds_name=self.ds_name, policy=self.policy,
@@ -312,7 +315,6 @@ class SpeculativeExecutor:
                                  workers=self.workers, shards=self.shards,
                                  adaptive=self.adaptive,
                                  stable=self.stable,
-                                 compiled=self.compiled,
                                  backend=self.backend.kind)
         try:
             try:
@@ -337,7 +339,6 @@ class SpeculativeExecutor:
             report.drift_fallbacks = manager.fallbacks
             report.fallback_admits = manager.fallback_admits
             report.undo_refusals = manager.undo_refusals
-            report.compiled_hits = manager.compiled_hits
             report.eval_errors = manager.eval_errors
             report.eval_error_sample = manager.eval_error_samples()
             report.eval_errors_dropped = manager.eval_errors_dropped

@@ -45,7 +45,6 @@ from typing import Any, Iterable, Sequence
 
 from ..api.errors import UnknownNameError
 from ..commutativity.conditions import Kind
-from ..compiled.lowering import SlotMismatch
 from ..eval.interpreter import EvalContext, EvalError, evaluate
 from ..eval.values import Record
 from ..specs import DataStructureSpec
@@ -62,6 +61,31 @@ POLICIES = ("commutativity", "read-write", "mutex")
 #: interesting failure is the one happening now, not the one from
 #: startup — with every eviction counted in ``eval_error_dropped``).
 EVAL_ERROR_SAMPLE = 5
+
+#: Entry cap of each per-manager memo (virtual routes, undo plans,
+#: undo-commutation verdicts).  Their keys include argument values and
+#: whole abstract states, so a manager reused across runs (a server
+#: domain after ``reset()``) over an open key space would otherwise
+#: grow them without limit; once full, each insertion evicts the oldest
+#: entry.  Memos only cache pure functions, so eviction costs a
+#: recomputation, never a different decision.
+MEMO_CAP = 4096
+
+
+def _remember(memo: dict, key: Any, value: Any) -> Any:
+    """Store ``value`` under ``key`` in a :data:`MEMO_CAP`-bounded memo,
+    evicting the oldest entries when it is full; returns ``value``.
+
+    Memos are shared by the shards of a threaded run without a lock, so
+    racing inserts can overshoot the cap by one entry per thread; the
+    next insert evicts back under it."""
+    while len(memo) >= MEMO_CAP:
+        try:
+            del memo[next(iter(memo))]
+        except (KeyError, RuntimeError):
+            pass  # a concurrent shard changed the memo first: retry
+    memo[key] = value
+    return value
 
 
 @dataclass(frozen=True)
@@ -95,9 +119,7 @@ class _Shard:
     admissions* the stability compiler exists to replace with semantic
     certificates).
 
-    ``compiled_hits`` counts pair checks decided by a slot-specialized
-    compiled closure (:mod:`repro.compiled`) instead of the
-    interpreter; ``eval_errors`` counts every condition evaluation
+    ``eval_errors`` counts every condition evaluation
     that raised :class:`~repro.eval.interpreter.EvalError` (between
     *and* stable path), with the first :data:`EVAL_ERROR_SAMPLE`
     occurrences kept in ``eval_error_sample`` so a bench artifact is
@@ -106,7 +128,7 @@ class _Shard:
     __slots__ = ("shard_id", "lock", "log", "checks", "conflicts",
                  "drift_checks", "stable_hits", "proved_hits",
                  "synthesized_hits", "fallbacks", "fallback_admits",
-                 "undo_refusals", "compiled_hits", "eval_errors",
+                 "undo_refusals", "eval_errors",
                  "eval_error_sample", "eval_error_dropped")
 
     def __init__(self, shard_id: int) -> None:
@@ -122,7 +144,6 @@ class _Shard:
         self.fallbacks = 0
         self.fallback_admits = 0
         self.undo_refusals = 0
-        self.compiled_hits = 0
         self.eval_errors = 0
         #: Fixed-size ring of the most recent EvalError diagnostics;
         #: a long-running server keeps a bounded, *current* sample.
@@ -145,7 +166,7 @@ class ConflictManager:
 
     def __init__(self, ds_name: str, policy: str = "commutativity",
                  registry=None, shards: int = 1,
-                 stable: bool = False, compiled: bool = False) -> None:
+                 stable: bool = False) -> None:
         if policy not in POLICIES:
             raise ValueError(f"unknown policy {policy!r}")
         if shards < 1 or shards > VIRTUAL_REGIONS \
@@ -189,35 +210,18 @@ class ConflictManager:
         self._ctx = EvalContext(observe=self.spec.observe)
         #: (m1, m2) -> catalog between condition.  Memoizes the
         #: registry's linear catalog scan off the hot path (the
-        #: catalog is immutable for the lifetime of a manager); both
-        #: the compiled and the interpreted mode go through it.
+        #: catalog is immutable for the lifetime of a manager).
         self._conds: dict[tuple[str, str], Any] = {}
-        #: Arm-time admission compilation (:mod:`repro.compiled`):
-        #: every catalog between condition and registered stable
-        #: condition is lowered into a slot-specialized closure before
-        #: the first check, through the process-global compiled-pair
-        #: cache.  Only the commutativity policy evaluates conditions,
-        #: so only it compiles.
-        self.compiled = compiled
-        self._admission = None
-        #: Compiled mode's undo-commutation memo: the verdict of
+        #: The undo-commutation memo: the verdict of
         #: :meth:`_undo_commutes` is a pure function of immutable
         #: values (the logged call, its pre-state, the incoming call,
         #: the current state — abstract semantics are deterministic),
         #: and hot-key traffic re-asks the same question constantly.
         #: Record hashes are precomputed, so keys are cheap.  Benign
         #: races on the dict are fine (concurrent shards compute
-        #: identical values), same as the virtual-route memo.  Gated
-        #: on ``compiled``: the interpreted baseline stays the
-        #: measurement control the bench gate compares against.
+        #: identical values), same as the virtual-route memo.  Like
+        #: the route and undo-plan memos, bounded by :data:`MEMO_CAP`.
         self._undo_memo: dict[tuple, bool] = {}
-        if compiled and policy == "commutativity" \
-                and registry.has_conditions(ds_name):
-            from ..compiled import CompiledAdmission
-            self._admission = CompiledAdmission(
-                self.spec, self._ctx,
-                conditions=registry.conditions(ds_name),
-                stable_conditions=tuple(self._stable.values()))
 
     # -- routing (subclass hooks) ----------------------------------------------
 
@@ -344,8 +348,7 @@ class ConflictManager:
             ids = self._family_router(op_name, args, VIRTUAL_REGIONS)
             route = None if ids is None else frozenset(
                 normalize_route(ids, VIRTUAL_REGIONS))
-            self._virtual_routes[key] = route
-            return route
+            return _remember(self._virtual_routes, key, route)
 
     def _condition(self, m1: str, m2: str):
         """The pair's catalog between condition, memoized (the
@@ -363,9 +366,7 @@ class ConflictManager:
     def _pair_env(self, op1, op2, logged: LoggedOperation,
                   args: tuple[Any, ...],
                   current: Record) -> dict[str, Any]:
-        """The interpreter's environment for one pair check.  The
-        compiled fast path never builds this dict — it is only
-        materialized on the interpreted fallback."""
+        """The interpreter's environment for one pair check."""
         env: dict[str, Any] = {
             "s1": logged.before, "s2": current,
         }
@@ -446,45 +447,6 @@ class ConflictManager:
                 return False
             return self._fallback(shard, logged, op_name, args,
                                   current)
-        checker = None if self._admission is None else \
-            self._admission.between_checker(logged.op_name, op_name)
-        if checker is not None:
-            # The compiled fast path: slot-specialized closure, no
-            # env dict.  It raises EvalError in exactly the cases the
-            # interpreter would (same messages), so the fallback
-            # decisions — and the eval_errors sample — are identical
-            # with and without compilation.
-            try:
-                verdict = checker.check(logged.before, current,
-                                        logged.args, logged.result,
-                                        args)
-            except SlotMismatch:
-                # Arity drift between the logged call and the
-                # operation signature: the interpreted dict env
-                # tolerates it (zip truncation / unbound-variable
-                # semantics), so that single check interprets.
-                pass
-            except EvalError as exc:
-                self._note_eval_error(shard, logged.op_name, op_name,
-                                      cond, exc, stable_path=False)
-                return self._fallback(shard, logged, op_name, args,
-                                      current)
-            else:
-                shard.compiled_hits += 1
-                if not verdict:
-                    return False
-                try:
-                    return self._undo_guard(shard, logged, op2, args,
-                                            current)
-                except EvalError as exc:
-                    # The interpreted path runs the undo guard inside
-                    # its try block; mirror that so an unevaluable
-                    # undo-side precondition falls back identically.
-                    self._note_eval_error(shard, logged.op_name,
-                                          op_name, cond, exc,
-                                          stable_path=False)
-                    return self._fallback(shard, logged, op_name,
-                                          args, current)
         env = self._pair_env(op1, op2, logged, args, current)
         try:
             if not evaluate(cond.dynamic_formula, env, self._ctx):
@@ -538,13 +500,6 @@ class ConflictManager:
         the admission when they disagree (counted per shard, under the
         shard's lock, like every other admission counter).
         """
-        if not self._undo_commutes(logged, op2, args2, current):
-            shard.undo_refusals += 1
-            return False
-        return True
-
-    def _undo_commutes(self, logged: LoggedOperation, op2,
-                       args2: tuple[Any, ...], current: Record) -> bool:
         op1 = self.spec.operations[logged.op_name]
         if not op1.mutator or logged.before == logged.after:
             # Nothing to undo: reads are never rolled back, and
@@ -560,29 +515,33 @@ class ConflictManager:
             # skipping the abstract re-execution here keeps the guard
             # off the fast path for region-disjoint traffic.
             return True
-        if self.compiled:
-            # ``logged.after`` is determined by (op, args, before) —
-            # abstract semantics are deterministic — so this key
-            # covers every input of the verdict below.
-            key = (logged.op_name, logged.args, logged.before,
-                   op2.name, args2, current)
-            try:
-                return self._undo_memo[key]
-            except KeyError:
-                pass
-            verdict = self._undo_commutes_fresh(logged, op1, op2,
-                                                args2, current)
-            self._undo_memo[key] = verdict
-            return verdict
-        return self._undo_commutes_fresh(logged, op1, op2, args2,
-                                         current)
+        if not self._undo_commutes(logged, op2, args2, current):
+            shard.undo_refusals += 1
+            return False
+        return True
 
-    def _undo_commutes_fresh(self, logged: LoggedOperation, op1, op2,
+    def _undo_commutes(self, logged: LoggedOperation, op2,
+                       args2: tuple[Any, ...], current: Record) -> bool:
+        """:meth:`_undo_commutes_fresh`, memoized.  ``logged.after`` is
+        determined by (op, args, before) — abstract semantics are
+        deterministic — so the key covers every input of the verdict."""
+        key = (logged.op_name, logged.args, logged.before,
+               op2.name, args2, current)
+        try:
+            return self._undo_memo[key]
+        except KeyError:
+            pass
+        return _remember(self._undo_memo, key, self._undo_commutes_fresh(
+            logged, op2, args2, current))
+
+    def _undo_commutes_fresh(self, logged: LoggedOperation, op2,
                              args2: tuple[Any, ...],
                              current: Record) -> bool:
-        """The uncached undo-commutation check (both orders, from
-        scratch); see :meth:`_undo_commutes` for the contract."""
-        undo_ops = self._undo_plan(logged, op1)
+        """Whether ``op2(args2)`` commutes with the pending undo of a
+        mutating ``logged`` entry: both orders, from scratch.  The
+        uncached reference the memo is tested against."""
+        undo_ops = self._undo_plan(logged,
+                                   self.spec.operations[logged.op_name])
         if undo_ops is None:
             # No registered inverse: an abort could not undo the logged
             # operation at all, so admitting against it proves nothing.
@@ -633,8 +592,7 @@ class ConflictManager:
                 (self.spec.operations[name], call_args)
                 for name, call_args in resolve_inverse_calls(
                     inverse, base, logged.args, raw_result))
-        self._undo_plans[key] = plan
-        return plan
+        return _remember(self._undo_plans, key, plan)
 
     def _run_abstract(self, state: Record | None, seq):
         """Thread a state through abstract semantics; ``None`` when a
@@ -651,26 +609,7 @@ class ConflictManager:
         """Evaluate a compiled drift-stable condition; unevaluable means
         no certificate (the caller falls through to the oracle) —
         counted and sampled per shard, so the silent fallback is
-        diagnosable.  Prefers the arm-time lowered closure; decisions
-        are identical either way."""
-        if self._admission is not None:
-            checker = self._admission.stable_checker(logged.op_name,
-                                                     op_name)
-            if checker is not None:
-                try:
-                    verdict = checker.check(logged.before, current,
-                                            logged.args, logged.result,
-                                            args)
-                except SlotMismatch:
-                    pass  # arity drift: interpret this single check
-                except EvalError as exc:
-                    self._note_eval_error(shard, logged.op_name,
-                                          op_name, stable, exc,
-                                          stable_path=True)
-                    return False
-                else:
-                    shard.compiled_hits += 1
-                    return bool(verdict)
+        diagnosable."""
         env = self._pair_env(op1, self.spec.operations[op_name], logged,
                              args, current)
         try:
@@ -732,7 +671,7 @@ class ConflictManager:
     def reset(self) -> None:
         """Back to an empty log with zeroed counters, keeping the
         expensive admission machinery warm (memoized conditions and
-        routes, armed stable conditions, compiled closures).  Decisions
+        routes, armed stable conditions, the bounded undo memos).  Decisions
         after a reset are identical to a freshly constructed manager's
         — that equivalence is what makes server-side domain reuse
         sound."""
@@ -748,7 +687,6 @@ class ConflictManager:
                 shard.fallbacks = 0
                 shard.fallback_admits = 0
                 shard.undo_refusals = 0
-                shard.compiled_hits = 0
                 shard.eval_errors = 0
                 shard.eval_error_sample.clear()
                 shard.eval_error_dropped = 0
@@ -824,12 +762,6 @@ class ConflictManager:
         return sum(s.undo_refusals for s in self._shards)
 
     @property
-    def compiled_hits(self) -> int:
-        """Pair checks decided by a compiled closure (never differing
-        from what the interpreter would have decided)."""
-        return sum(s.compiled_hits for s in self._shards)
-
-    @property
     def eval_errors(self) -> int:
         """Condition evaluations (between or stable path) that raised
         :class:`EvalError` and resolved conservatively."""
@@ -865,7 +797,6 @@ class ConflictManager:
                  "fallbacks": s.fallbacks,
                  "fallback_admits": s.fallback_admits,
                  "undo_refusals": s.undo_refusals,
-                 "compiled_hits": s.compiled_hits,
                  "eval_errors": s.eval_errors,
                  "eval_errors_dropped": s.eval_error_dropped}
                 for s in self._shards]
@@ -882,7 +813,6 @@ class ConflictManager:
                 "fallbacks": self.fallbacks,
                 "fallback_admits": self.fallback_admits,
                 "undo_refusals": self.undo_refusals,
-                "compiled_hits": self.compiled_hits,
                 "eval_errors": self.eval_errors,
                 "eval_errors_dropped": self.eval_errors_dropped}
 
@@ -894,10 +824,9 @@ class Gatekeeper(ConflictManager):
     manager is validated against."""
 
     def __init__(self, ds_name: str, policy: str = "commutativity",
-                 registry=None, stable: bool = False,
-                 compiled: bool = False) -> None:
+                 registry=None, stable: bool = False) -> None:
         super().__init__(ds_name, policy, registry=registry, shards=1,
-                         stable=stable, compiled=compiled)
+                         stable=stable)
 
 
 class ShardedGatekeeper(ConflictManager):
@@ -925,9 +854,9 @@ class ShardedGatekeeper(ConflictManager):
     def __init__(self, ds_name: str, policy: str = "commutativity",
                  registry=None, shards: int = 2,
                  router: ShardRouter | None = None,
-                 stable: bool = False, compiled: bool = False) -> None:
+                 stable: bool = False) -> None:
         super().__init__(ds_name, policy, registry=registry, shards=shards,
-                         stable=stable, compiled=compiled)
+                         stable=stable)
         if router is None:
             router = self.registry.shard_router(ds_name)
         if router is None:
@@ -963,20 +892,15 @@ class ShardedGatekeeper(ConflictManager):
 def conflict_manager(ds_name: str, policy: str = "commutativity",
                      shards: int = 1, registry=None,
                      router: ShardRouter | None = None,
-                     stable: bool = False,
-                     compiled: bool = False) -> ConflictManager:
+                     stable: bool = False) -> ConflictManager:
     """The conflict manager for a shard count: the flat
     :class:`Gatekeeper` at ``shards=1`` (byte-for-byte the historical
     behaviour), a :class:`ShardedGatekeeper` above.  ``stable=True``
     arms the drift guard with the registry's compiled drift-stable
     conditions (both managers consult the same compiled set, so flat
-    and sharded decisions stay identical); ``compiled=True``
-    additionally lowers every armed condition into a slot-specialized
-    closure at arm time (:mod:`repro.compiled`) — faster checks,
-    identical decisions."""
+    and sharded decisions stay identical)."""
     if shards == 1 and router is None:
         return Gatekeeper(ds_name, policy, registry=registry,
-                          stable=stable, compiled=compiled)
+                          stable=stable)
     return ShardedGatekeeper(ds_name, policy, registry=registry,
-                             shards=shards, router=router, stable=stable,
-                             compiled=compiled)
+                             shards=shards, router=router, stable=stable)

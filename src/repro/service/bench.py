@@ -483,8 +483,8 @@ EXPECTED_METRIC_NAMES = (
     "repro_shard_stable_hits", "repro_shard_proved_hits",
     "repro_shard_synthesized_hits",
     "repro_shard_fallbacks", "repro_shard_fallback_admits",
-    "repro_shard_undo_refusals", "repro_shard_compiled_hits",
-    "repro_shard_eval_errors", "repro_shard_eval_errors_dropped",
+    "repro_shard_undo_refusals", "repro_shard_eval_errors",
+    "repro_shard_eval_errors_dropped",
     "repro_txn_outcomes_total", "repro_abort_rate",
     "repro_server_active_connections", "repro_server_worker_id",
     "repro_domain_reuse_total",

@@ -235,7 +235,6 @@ class RemoteConflictManager:
     fallback_admits = property(
         lambda self: self._counter("fallback_admits"))
     undo_refusals = property(lambda self: self._counter("undo_refusals"))
-    compiled_hits = property(lambda self: self._counter("compiled_hits"))
     eval_errors = property(lambda self: self._counter("eval_errors"))
     eval_errors_dropped = property(
         lambda self: self._counter("eval_errors_dropped"))
@@ -275,9 +274,9 @@ class ServiceBackend(AdmissionBackend):
 
     Connections are pooled (one per cluster worker, learned from the
     ``hello`` partition map) and server-side domains are cached by
-    (structure, policy, shards, stable, compiled): a repeated
-    execution sends a ``reset`` frame instead of re-opening, so the
-    server's armed stable conditions and compiled closures stay warm.
+    (structure, policy, shards, stable): a repeated execution sends a
+    ``reset`` frame instead of re-opening, so the server's armed stable
+    conditions and memos stay warm.
     ``bump_epoch()`` invalidates the cache.  Serial per process, like
     the managers it hands out."""
 
@@ -296,7 +295,7 @@ class ServiceBackend(AdmissionBackend):
         self.registry = registry
         self._clients: list[ServiceClient] | None = None
         self._epoch = 0
-        #: (epoch, structure, policy, shards, stable, compiled) ->
+        #: (epoch, structure, policy, shards, stable) ->
         #: one open domain id per pooled connection.
         self._domains: dict[tuple, list[int]] = {}
         #: Executions served by resetting a cached domain instead of
@@ -329,9 +328,9 @@ class ServiceBackend(AdmissionBackend):
 
     def conflict_manager(self, ds_name: str, *,
                          policy: str = "commutativity", shards: int = 1,
-                         stable: bool = False, compiled: bool = False):
+                         stable: bool = False):
         clients = self._pool()
-        key = (self._epoch, ds_name, policy, shards, stable, compiled)
+        key = (self._epoch, ds_name, policy, shards, stable)
         domains = self._domains.get(key)
         if domains is not None:
             try:
@@ -346,7 +345,7 @@ class ServiceBackend(AdmissionBackend):
         if domains is None:
             domains = [client.call(protocol.open_frame(
                 ds_name, policy=policy, shards=shards, stable=stable,
-                compiled=compiled, label=self.label))["domain"]
+                label=self.label))["domain"]
                 for client in clients]
             self._domains[key] = domains
         if len(clients) == 1:

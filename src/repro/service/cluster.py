@@ -232,7 +232,6 @@ class PartitionedConflictManager:
     fallback_admits = property(
         lambda self: self._counter("fallback_admits"))
     undo_refusals = property(lambda self: self._counter("undo_refusals"))
-    compiled_hits = property(lambda self: self._counter("compiled_hits"))
     eval_errors = property(lambda self: self._counter("eval_errors"))
     eval_errors_dropped = property(
         lambda self: self._counter("eval_errors_dropped"))

@@ -21,7 +21,7 @@ PREFIX = "repro"
 DOMAIN_COUNTERS = ("checks", "conflicts", "drift_checks", "stable_hits",
                    "proved_hits", "synthesized_hits",
                    "fallbacks", "fallback_admits",
-                   "undo_refusals", "compiled_hits", "eval_errors",
+                   "undo_refusals", "eval_errors",
                    "eval_errors_dropped")
 
 #: The per-shard stats keys (:meth:`ConflictManager.shard_stats`)

@@ -1,7 +1,7 @@
-"""Shared fixtures for the compiled-admission tests: the runnable
+"""Shared fixtures for the runtime identity tests: the runnable
 builtins + custom Register registry, and one session with compiled
 drift-stable conditions (compiling the catalog once is the expensive
-part, so it is module-scoped)."""
+part, so it is session-scoped)."""
 
 import sys
 from pathlib import Path
@@ -23,10 +23,11 @@ def runnable_registry():
     return make_runnable_register_registry()
 
 
-@pytest.fixture(scope="module")
+@pytest.fixture(scope="session")
 def stable_session():
     """A session whose registry carries compiled drift-stable
-    conditions for every structure (builtins + Register)."""
+    conditions for every structure (builtins + Register); tests that
+    re-register conditions restore them."""
     session = Session(registry=make_runnable_register_registry(),
                       scope=Scope(), cache=False)
     session.compile_stable()

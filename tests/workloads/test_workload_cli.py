@@ -210,3 +210,22 @@ def test_bench_runtime_sharded_emits_scaling_section(tmp_path):
         for cell in entry["workloads"].values():
             assert cell["flat_committed_ops_per_second"] > 0
             assert cell["sharded_committed_ops_per_second"] > 0
+
+
+def test_bench_nogil_suite(tmp_path, capsys):
+    output = tmp_path / "BENCH_nogil.json"
+    code = main(["bench", "--suite", "nogil", "--output", str(output)])
+    out = capsys.readouterr().out
+    assert code == 0
+    payload = json.loads(output.read_text())
+    assert payload["suite"] == "nogil"
+    assert payload["conflict_mode"] == "block"
+    assert payload["workers_axis"] == [1, 2, 4]
+    assert payload["shards_axis"] == [1, 8]
+    # Pre-3.13 interpreters report the GIL probe as null, never a guess.
+    assert payload["gil_enabled"] in (True, False, None)
+    for name, grid in payload["structures"].items():
+        for label, cells in grid.items():
+            assert cells, (name, label)
+            assert all(v > 0 for v in cells.values()), (name, label)
+    assert "nogil" in out
