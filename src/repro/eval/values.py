@@ -40,7 +40,9 @@ class FMap(Mapping[str, Any]):
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, FMap):
-            return self._items == other._items
+            # Equal maps have equal hashes, so a hash mismatch settles
+            # inequality without walking the items.
+            return self._hash == other._hash and self._items == other._items
         return NotImplemented
 
     def __repr__(self) -> str:
@@ -92,7 +94,9 @@ class Record(Mapping[str, Any]):
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Record):
-            return self._fields == other._fields
+            # Equal records have equal hashes (see FMap.__eq__).
+            return self._hash == other._hash \
+                and self._fields == other._fields
         return NotImplemented
 
     def __repr__(self) -> str:

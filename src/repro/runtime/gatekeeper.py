@@ -47,6 +47,7 @@ from ..api.errors import UnknownNameError
 from ..commutativity.conditions import Kind
 from ..eval.interpreter import EvalContext, EvalError, evaluate
 from ..eval.values import Record
+from ..logic.terms import TRUE
 from ..specs import DataStructureSpec
 from .sharding import (ShardRouter, VIRTUAL_REGIONS, normalize_route,
                        single_region_router)
@@ -222,6 +223,11 @@ class ConflictManager:
         #: identical values), same as the virtual-route memo.  Like
         #: the route and undo-plan memos, bounded by :data:`MEMO_CAP`.
         self._undo_memo: dict[tuple, bool] = {}
+        #: m2 -> the logged operations free against it (see
+        #: :meth:`_free_partners`).  Keyed by operation names, so it is
+        #: finite and needs no cap; like ``_conds`` it survives
+        #: :meth:`reset`.
+        self._free: dict[str, frozenset[str]] = {}
 
     # -- routing (subclass hooks) ----------------------------------------------
 
@@ -318,6 +324,7 @@ class ConflictManager:
         with the smallest shard id across workers."""
         if shard_ids is None:
             shard_ids = self.shards_for(op_name, args)
+        free = self._free_partners(op_name)
         seen: set[int] = set()
         multi = len(shard_ids) > 1
         for sid in shard_ids:
@@ -331,11 +338,43 @@ class ConflictManager:
                             continue
                         seen.add(id(logged))
                     shard.checks += 1
+                    if logged.op_name in free:
+                        continue
                     if not self._pair_commutes(shard, logged, op_name,
                                                args, current):
                         shard.conflicts += 1
                         return False, logged.txn_id, sid
         return True, None, None
+
+    def _free_partners(self, m2: str) -> frozenset[str]:
+        """The logged operations an incoming ``m2`` commutes with in
+        every state, memoized per ``m2``: under the ``commutativity``
+        policy, each non-mutating ``m1`` whose catalog between condition
+        is literally ``true``.  For such a pair :meth:`_pair_commutes`
+        always returns ``True`` without touching a counter: ``true`` is
+        not drift-fragile and cannot raise :class:`EvalError`, and a
+        read leaves no pending undo for :meth:`_undo_guard` to check.
+        The scan skips these pairs after counting them, so decisions
+        and counters are those of the full check."""
+        try:
+            return self._free[m2]
+        except KeyError:
+            pass
+        free = set()
+        if self.policy == "commutativity":
+            for m1, op1 in self.spec.operations.items():
+                if op1.mutator:
+                    continue
+                try:
+                    if self._condition(m1, m2).dynamic_formula == TRUE:
+                        free.add(m1)
+                except (ValueError, TypeError):
+                    # No catalog entry (UnknownNameError) or an
+                    # unparsable dynamic text: not free, and the scan
+                    # raises only if that pair ever occurs.
+                    continue
+        result = self._free[m2] = frozenset(free)
+        return result
 
     def _virtual_route(self, op_name: str,
                        args: tuple[Any, ...]) -> frozenset[int] | None:
@@ -405,7 +444,7 @@ class ConflictManager:
         if self.policy == "read-write":
             return not (op1.mutator or op2.mutator)
         cond = self._condition(logged.op_name, op_name)
-        if current != logged.after and cond.drift_fragile:
+        if cond.drift_fragile and current != logged.after:
             # Drift guard.  The between conditions are verified in the
             # environment where ``s2`` is the state *immediately after*
             # the logged operation ran; once other operations have

@@ -50,6 +50,33 @@ def test_record_equality_hash():
     assert hash(a) == hash(b)
 
 
+# Equality compares the precomputed hashes first; these pin that the
+# shortcut never turns an equal pair unequal or the reverse.
+
+def test_record_field_order_is_irrelevant_with_nested_values():
+    a = Record(contents=frozenset({"a", "b"}), map=FMap({"k": "v"}), size=2)
+    b = Record(size=2, map=FMap({"k": "v"}), contents=frozenset({"b", "a"}))
+    assert a == b and not a != b
+
+
+def test_record_differing_in_one_nested_set_element():
+    a = Record(contents=frozenset({"a", "b"}), size=2)
+    b = Record(contents=frozenset({"a", "c"}), size=2)
+    assert a != b and not a == b
+
+
+def test_fmap_insertion_order_is_irrelevant():
+    a = FMap({"k": frozenset({"a", "b"}), "j": "x"})
+    b = FMap({"j": "x", "k": frozenset({"b", "a"})})
+    assert a == b and not a != b
+
+
+def test_fmap_differing_in_one_nested_set_element():
+    a = FMap({"k": frozenset({"a", "b"})})
+    b = FMap({"k": frozenset({"a", "c"})})
+    assert a != b and not a == b
+
+
 @pytest.mark.parametrize("seq,value,first,last", [
     ((), "a", -1, -1),
     (("a",), "a", 0, 0),
