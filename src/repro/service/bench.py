@@ -487,7 +487,8 @@ EXPECTED_METRIC_NAMES = (
     "repro_shard_eval_errors_dropped",
     "repro_txn_outcomes_total", "repro_abort_rate",
     "repro_server_active_connections", "repro_server_worker_id",
-    "repro_domain_reuse_total",
+    "repro_domain_reuse_total", "repro_server_state_defs_total",
+    "repro_server_state_refs_total", "repro_server_state_entries",
 )
 
 

@@ -14,7 +14,9 @@ frames are buffered client-side and flushed inside the *next*
 applies exactly the sequence an in-process manager would have seen —
 decision identity is free).  A transaction's final release rides with
 the next transaction's first check; anything still buffered flushes on
-stats collection or close.
+stats collection or close.  States are interned per connection
+(:class:`~repro.service.protocol.StateTable`): each distinct state
+crosses the wire and is decoded once, and later frames name it by id.
 
 :class:`ServiceBackend` plugs this into
 ``SpeculativeExecutor(backend=...)`` — serial per process
@@ -68,6 +70,9 @@ class ServiceClient:
                                    connect_retries, backoff)
         self._sock.settimeout(call_timeout)
         self._recv = self._sock.makefile("rb")
+        #: This connection's state references: frames built with it
+        #: carry state ids, and :meth:`call` ships the definitions.
+        self.states = protocol.StateTable()
         hello = self.call(protocol.hello_frame())
         self.server_version = hello.get("v")
         #: The server's cluster map: worker count, this server's worker
@@ -108,8 +113,10 @@ class ServiceClient:
         return response
 
     def call(self, frame: dict[str, Any]) -> dict[str, Any]:
-        """One frame, one response; raises on ``ok: false``."""
-        self._sock.sendall(protocol.pack_frame(frame))
+        """One frame, one response; raises on ``ok: false``.  The
+        connection's queued state definitions (and any eviction) ride
+        along."""
+        self._sock.sendall(protocol.pack_frame(self.states.attach(frame)))
         return self._checked(self._read_response())
 
     def call_batch(self, frames: list[dict[str, Any]]) \
@@ -169,8 +176,9 @@ class RemoteConflictManager:
                    shard_ids=None) -> tuple[bool, int | None]:
         frames = self._pending
         self._pending = []
-        frames.append(protocol.check_frame(self._domain, txn_id,
-                                           op_name, args, current))
+        frames.append(protocol.check_frame(
+            self._domain, txn_id, op_name, args, current,
+            states=self._client.states))
         self._stats = None
         started = time.perf_counter()
         results = self._client.call_batch(frames)
@@ -189,7 +197,8 @@ class RemoteConflictManager:
                                shard_ids=shard_ids)
 
     def record(self, entry: LoggedOperation) -> tuple[int, ...]:
-        self._pending.append(protocol.record_frame(self._domain, entry))
+        self._pending.append(protocol.record_frame(
+            self._domain, entry, states=self._client.states))
         self._stats = None
         return ()
 

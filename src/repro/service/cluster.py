@@ -135,7 +135,7 @@ class PartitionedConflictManager:
             self._pending[worker] = []
             frames.append(protocol.check_frame(
                 self._domains[worker], txn_id, op_name, args, current,
-                shards=plan[worker]))
+                shards=plan[worker], states=self._clients[worker].states))
             verdicts.append(self._clients[worker].call_batch(frames)[-1])
         self.admission_latencies.append(time.perf_counter() - started)
         admitted, holder, _ = merge_verdicts(verdicts)
@@ -156,7 +156,8 @@ class PartitionedConflictManager:
         for worker, slice_ids in split_slices(route,
                                               self._workers).items():
             self._pending[worker].append(protocol.record_frame(
-                self._domains[worker], entry, shards=slice_ids))
+                self._domains[worker], entry, shards=slice_ids,
+                states=self._clients[worker].states))
         self._stats = None
         return ()
 

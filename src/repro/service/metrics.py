@@ -93,6 +93,17 @@ def prometheus_text(snapshot: dict[str, Any]) -> str:
          "every sample of a worker's scrape carries its label.",
          [(_labels(worker=server.get("worker_id", 0),
                    cluster_workers=server.get("cluster_workers", 1)), 1)])
+    emit("server_state_defs_total", "counter",
+         "States defined on a connection's state table (each crossed "
+         "the wire and was decoded once).",
+         [("", server.get("state_defs_total", 0))])
+    emit("server_state_refs_total", "counter",
+         "State slots of check/record frames sent as a reference to "
+         "an earlier definition instead of the whole state.",
+         [("", server.get("state_refs_total", 0))])
+    emit("server_state_entries", "gauge",
+         "States held now, summed over the open connections' tables.",
+         [("", server.get("state_entries", 0))])
     emit("domain_reuse_total", "counter",
          "Domains reset for reuse by a pooled client (the keyed "
          "domain cache) instead of being re-opened.",

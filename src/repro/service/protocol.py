@@ -40,12 +40,36 @@ Request frames (``t`` field):
 - ``ping``    — liveness probe.
 
 Responses are ``{"ok": true, ...}`` or ``{"ok": false, "error": msg}``.
+
+State references (v3).  Abstract states are the bulk of a frame, and
+a connection's traffic repeats the same few states over and over (one
+op's ``after`` is the next check's ``state``).  So each connection
+interns them: the client's :class:`StateTable` gives every distinct
+state an int id, consecutive from 0, and ``check`` (``state``) and
+``record`` (``before``/``after``) frames carry that id instead of the
+tagged value.  A state's first use queues a *definition*
+``[id, encoded state]``; the next top-level frame the client sends
+carries the queued definitions as ``"defs"``, and the server decodes
+them into its per-connection table before it dispatches the frame.
+Both tables are capped at :data:`STATE_CACHE` entries.  When the
+client's table passes its low-water mark it drops its oldest ids and
+sends ``"keep": <lowest live id>``; the server drops every id below
+``keep`` only after it has answered that frame, so frames built
+before the eviction still resolve.  A state met while the table is
+full rides inline as a tagged value, which the server decodes as
+before (hand-built frames with inline states keep working).  An
+unknown id answers the sub-frame with an error; a malformed ``defs``
+or ``keep``, or definitions past the cap, answer with an error frame
+and close the connection.  Every state is a
+:class:`~repro.eval.values.Record` (a tagged dict on the wire), so a
+bare int in a state slot is always a reference.
 """
 
 from __future__ import annotations
 
 import json
 import struct
+from itertools import islice
 from typing import Any
 
 from ..eval.values import FMap, Record
@@ -55,7 +79,13 @@ from ..runtime.gatekeeper import LoggedOperation
 #: server refuses clients it cannot speak to.  v2: cluster map in the
 #: hello response, explicit ``shards`` slices on check/record, the
 #: conflicting shard in check responses, and the ``reset`` frame.
-PROTOCOL_VERSION = 2
+#: v3: per-connection state references (``defs``, ``keep``, int ids
+#: in ``state``/``before``/``after``).
+PROTOCOL_VERSION = 3
+
+#: Entries in one connection's state table, on either side.  Part of
+#: the v3 contract: the server refuses definitions past it.
+STATE_CACHE = 64
 
 #: Frames above this are refused outright (a corrupt length prefix
 #: must not allocate gigabytes).  Kept under 2**31 so the length
@@ -111,22 +141,120 @@ def decode_value(payload: Any) -> Any:
     raise ProtocolError(f"undecodable payload {payload!r}")
 
 
-def wire_operation(entry: LoggedOperation) -> dict[str, Any]:
-    """The wire form of one logged operation."""
+# -- per-connection state references ------------------------------------------
+
+class StateTable:
+    """The client half of a connection's state references.
+
+    Keyed by state value, not identity: the executor's ``after`` and
+    the next step's ``before`` are equal but distinct objects.  Values
+    equal under ``==`` share an id, as they already share the
+    gatekeeper's undo memo entries.  Eviction is oldest-first, so the
+    live ids are always one consecutive run and the table's size is
+    the peer's table size too."""
+
+    def __init__(self) -> None:
+        #: state -> id, oldest first.
+        self._ids: dict[Any, int] = {}
+        self._next = 0
+        #: Definitions not yet sent.
+        self._defs: list[list[Any]] = []
+
+    def __len__(self) -> int:
+        return len(self._ids)
+
+    def ref(self, state: Any) -> Any:
+        """The wire form of ``state``: its id, or the tagged value
+        inline when the table is full until the next send evicts."""
+        sid = self._ids.get(state)
+        if sid is None:
+            if len(self._ids) >= STATE_CACHE:
+                return encode_value(state)
+            sid = self._ids[state] = self._next
+            self._next += 1
+            self._defs.append([sid, encode_value(state)])
+        return sid
+
+    def attach(self, frame: dict[str, Any]) -> dict[str, Any]:
+        """``frame`` plus the queued ``defs``, and ``keep`` when the
+        table is past its low-water mark: the oldest ids are dropped so
+        the frames built before the next send have room to define
+        new states."""
+        extra: dict[str, Any] = {}
+        if self._defs:
+            extra["defs"], self._defs = self._defs, []
+        excess = len(self._ids) - (STATE_CACHE - max(1, STATE_CACHE // 8))
+        if excess > 0:
+            for state in list(islice(self._ids, excess)):
+                del self._ids[state]
+            extra["keep"] = next(iter(self._ids.values()), self._next)
+        return {**frame, **extra} if extra else frame
+
+
+def _state_payload(state: Any, states: StateTable | None) -> Any:
+    return encode_value(state) if states is None else states.ref(state)
+
+
+def define_states(table: dict[int, Any], frame: dict[str, Any]) \
+        -> int | None:
+    """Server half: decode ``frame``'s ``defs`` into ``table`` and
+    return its validated ``keep`` (to apply once the frame is
+    answered).  Anything malformed, or a table past
+    :data:`STATE_CACHE`, raises :class:`ProtocolError`."""
+    keep = frame.get("keep")
+    if keep is not None and type(keep) is not int:
+        raise ProtocolError(f"malformed keep {keep!r}")
+    defs = frame.get("defs", ())
+    try:
+        for sid, payload in defs:
+            if type(sid) is not int:
+                raise ProtocolError(f"malformed state id {sid!r}")
+            table[sid] = decode_value(payload)
+    except (TypeError, ValueError, AttributeError) as exc:
+        raise ProtocolError(f"malformed state definitions: {exc}") \
+            from exc
+    if len(table) > STATE_CACHE:
+        raise ProtocolError(f"state table past its cap of {STATE_CACHE}")
+    return keep
+
+
+def drop_states(table: dict[int, Any], keep: int) -> None:
+    """Forget every id below ``keep``."""
+    for sid in [sid for sid in table if sid < keep]:
+        del table[sid]
+
+
+def decode_state(payload: Any, table: dict[int, Any] | None = None) -> Any:
+    """A state from its wire form: an id resolved through ``table``,
+    or an inline tagged value."""
+    if type(payload) is int:
+        try:
+            return table[payload]
+        except (KeyError, TypeError):
+            raise ProtocolError(f"unknown state id {payload}") from None
+    return decode_value(payload)
+
+
+def wire_operation(entry: LoggedOperation,
+                   states: StateTable | None = None) -> dict[str, Any]:
+    """The wire form of one logged operation; with ``states`` its
+    before/after ride as references."""
     return {"txn": entry.txn_id, "op": entry.op_name,
             "args": encode_value(tuple(entry.args)),
             "result": encode_value(entry.result),
-            "before": encode_value(entry.before),
-            "after": encode_value(entry.after)}
+            "before": _state_payload(entry.before, states),
+            "after": _state_payload(entry.after, states)}
 
 
-def unwire_operation(payload: dict[str, Any]) -> LoggedOperation:
+def unwire_operation(payload: dict[str, Any],
+                     table: dict[int, Any] | None = None) \
+        -> LoggedOperation:
     """Inverse of :func:`wire_operation`."""
     return LoggedOperation(txn_id=payload["txn"], op_name=payload["op"],
                            args=decode_value(payload["args"]),
                            result=decode_value(payload["result"]),
-                           before=decode_value(payload["before"]),
-                           after=decode_value(payload["after"]))
+                           before=decode_state(payload["before"], table),
+                           after=decode_state(payload["after"], table))
 
 
 # -- framing -----------------------------------------------------------------
@@ -172,18 +300,21 @@ def open_frame(structure: str, *, policy: str = "commutativity",
 
 def check_frame(domain: int, txn_id: int, op_name: str,
                 args: tuple[Any, ...], current: Record,
-                shards: tuple[int, ...] | None = None) -> dict[str, Any]:
+                shards: tuple[int, ...] | None = None,
+                states: StateTable | None = None) -> dict[str, Any]:
     frame = {"t": "check", "d": domain, "txn": txn_id, "op": op_name,
              "args": encode_value(tuple(args)),
-             "state": encode_value(current)}
+             "state": _state_payload(current, states)}
     if shards is not None:
         frame["shards"] = list(shards)
     return frame
 
 
 def record_frame(domain: int, entry: LoggedOperation,
-                 shards: tuple[int, ...] | None = None) -> dict[str, Any]:
-    frame = {"t": "record", "d": domain, "entry": wire_operation(entry)}
+                 shards: tuple[int, ...] | None = None,
+                 states: StateTable | None = None) -> dict[str, Any]:
+    frame = {"t": "record", "d": domain,
+             "entry": wire_operation(entry, states)}
     if shards is not None:
         frame["shards"] = list(shards)
     return frame

@@ -123,6 +123,11 @@ class AdmissionServer:
         self.frames_total = 0
         self.http_requests_total = 0
         self.domain_reuse_total = 0
+        self.state_defs_total = 0
+        self.state_refs_total = 0
+        #: Every open connection's state table (id -> decoded state),
+        #: by connection; their sizes sum to the ``state_entries`` gauge.
+        self._state_tables: dict[int, dict[int, Any]] = {}
 
     def set_cluster(self, worker_id: int, ports: list[int]) -> None:
         """Install the cluster map (called between bind and serve: the
@@ -194,28 +199,44 @@ class AdmissionServer:
                             reader: asyncio.StreamReader,
                             writer: asyncio.StreamWriter) -> None:
         prefix = first_prefix
-        while True:
-            try:
-                length = protocol.unpack_length(prefix)
-                body = await reader.readexactly(length)
-                frame = protocol.decode_body(body)
-            except (protocol.ProtocolError, ValueError) as exc:
-                writer.write(protocol.pack_frame(
-                    protocol.error_response(str(exc))))
+        # This connection's state references.  Definitions are decoded
+        # before the frame is dispatched, so a sub-frame that fails
+        # early cannot leave the table out of step with the client's;
+        # ``keep`` applies once the frame is answered, so frames built
+        # before the client's eviction still resolve.
+        states: dict[int, Any] = {}
+        self._state_tables[id(states)] = states
+        try:
+            while True:
+                try:
+                    length = protocol.unpack_length(prefix)
+                    body = await reader.readexactly(length)
+                    frame = protocol.decode_body(body)
+                    before = len(states)
+                    keep = protocol.define_states(states, frame)
+                    self.state_defs_total += len(states) - before
+                except (protocol.ProtocolError, ValueError) as exc:
+                    writer.write(protocol.pack_frame(
+                        protocol.error_response(str(exc))))
+                    await writer.drain()
+                    return
+                except asyncio.IncompleteReadError:
+                    return
+                self.rpcs_total += 1
+                response = await self._dispatch(frame, states)
+                if keep is not None:
+                    protocol.drop_states(states, keep)
+                writer.write(protocol.pack_frame(response))
                 await writer.drain()
-                return
-            except asyncio.IncompleteReadError:
-                return
-            self.rpcs_total += 1
-            response = await self._dispatch(frame)
-            writer.write(protocol.pack_frame(response))
-            await writer.drain()
-            try:
-                prefix = await reader.readexactly(4)
-            except asyncio.IncompleteReadError:
-                return
+                try:
+                    prefix = await reader.readexactly(4)
+                except asyncio.IncompleteReadError:
+                    return
+        finally:
+            del self._state_tables[id(states)]
 
-    async def _dispatch(self, frame: dict[str, Any]) -> dict[str, Any]:
+    async def _dispatch(self, frame: dict[str, Any],
+                        states: dict[int, Any]) -> dict[str, Any]:
         kind = frame.get("t")
         if kind == "batch":
             subframes = frame.get("frames", ())
@@ -225,17 +246,21 @@ class AdmissionServer:
                     results.append(protocol.error_response(
                         "batch frames do not nest"))
                 else:
-                    results.append(await self._handle_one(sub))
+                    results.append(await self._handle_one(sub, states))
             return {"ok": True, "results": results}
-        return await self._handle_one(frame)
+        return await self._handle_one(frame, states)
 
-    async def _handle_one(self, frame: dict[str, Any]) -> dict[str, Any]:
+    async def _handle_one(self, frame: dict[str, Any],
+                          states: dict[int, Any]) -> dict[str, Any]:
         self.frames_total += 1
+        kind = frame.get("t")
         try:
-            handler = getattr(self, f"_frame_{frame.get('t')}", None)
+            handler = getattr(self, f"_frame_{kind}", None)
             if handler is None:
                 return protocol.error_response(
-                    f"unknown frame type {frame.get('t')!r}")
+                    f"unknown frame type {kind!r}")
+            if kind in ("check", "record"):
+                return await handler(frame, states)
             return await handler(frame)
         except protocol.ProtocolError as exc:
             return protocol.error_response(str(exc))
@@ -337,10 +362,16 @@ class AdmissionServer:
                 f"shard slice {ids} outside [0, {manager.num_shards})")
         return tuple(ids)
 
-    async def _frame_check(self, frame: dict[str, Any]) -> dict[str, Any]:
+    def _count_refs(self, *payloads: Any) -> None:
+        """Count the resolved state references among ``payloads``."""
+        self.state_refs_total += sum(type(p) is int for p in payloads)
+
+    async def _frame_check(self, frame: dict[str, Any],
+                           states: dict[int, Any]) -> dict[str, Any]:
         domain = self._domain(frame)
         args = protocol.decode_value(frame["args"])
-        current = protocol.decode_value(frame["state"])
+        current = protocol.decode_state(frame["state"], states)
+        self._count_refs(frame["state"])
         manager = domain.manager
         if frame.get("shards") is None:
             shard_ids = manager.shards_for(frame["op"], args)
@@ -353,9 +384,11 @@ class AdmissionServer:
         return {"ok": True, "admitted": admitted, "holder": holder,
                 "shard": shard}
 
-    async def _frame_record(self, frame: dict[str, Any]) -> dict[str, Any]:
+    async def _frame_record(self, frame: dict[str, Any],
+                            states: dict[int, Any]) -> dict[str, Any]:
         domain = self._domain(frame)
-        entry = protocol.unwire_operation(frame["entry"])
+        entry = protocol.unwire_operation(frame["entry"], states)
+        self._count_refs(frame["entry"]["before"], frame["entry"]["after"])
         manager = domain.manager
         if frame.get("shards") is None:
             shard_ids = manager.store_regions(entry.op_name, entry.args)
@@ -434,6 +467,10 @@ class AdmissionServer:
                                     if not d.closed),
                 "domains_total": self._next_domain,
                 "domain_reuse_total": self.domain_reuse_total,
+                "state_defs_total": self.state_defs_total,
+                "state_refs_total": self.state_refs_total,
+                "state_entries": sum(len(table) for table
+                                     in self._state_tables.values()),
                 "worker_id": self.worker_id,
                 "cluster_workers": (len(self.cluster_ports)
                                     if self.cluster_ports else 1),

@@ -166,6 +166,10 @@ def test_http_metrics_exposes_every_shard_counter(client, live_server):
         txn_id=1, op_name="get", args=(0,), result="a",
         before=state, after=state)))
     client.call(protocol.check_frame(domain, 2, "get", (0,), state))
+    # The same state twice by reference: one definition, two refs.
+    for txn in (3, 4):
+        client.call(protocol.check_frame(domain, txn, "get", (0,), state,
+                                         states=client.states))
     client.call(protocol.release_frame(domain, 1, "commit"))
 
     status, body = scrape_metrics(live_server.host, live_server.port)
@@ -173,6 +177,14 @@ def test_http_metrics_exposes_every_shard_counter(client, live_server):
     for name in EXPECTED_METRIC_NAMES:
         assert name in body, f"missing metric family {name}"
     assert "repro_server_uptime_seconds" in body
+    assert "# TYPE repro_server_state_defs_total counter" in body
+    assert "# TYPE repro_server_state_refs_total counter" in body
+    assert "# TYPE repro_server_state_entries gauge" in body
+    server = live_server.server.metrics_snapshot()["server"]
+    assert server["state_defs_total"] >= 1
+    assert server["state_refs_total"] >= 2
+    # This client's table is live, so the gauge counts its entry.
+    assert server["state_entries"] >= len(client.states) == 1
     assert 'outcome="commit"' in body and 'outcome="abort"' in body
     assert f'domain="{domain}"' in body
 
@@ -202,7 +214,9 @@ def test_prometheus_rendering_is_pure():
     snapshot = {
         "server": {"connections_total": 3, "rpcs_total": 9,
                    "frames_total": 11, "http_requests_total": 1,
-                   "uptime_seconds": 1.5, "domains_open": 1},
+                   "uptime_seconds": 1.5, "domains_open": 1,
+                   "state_defs_total": 4, "state_refs_total": 40,
+                   "state_entries": 3},
         "domains": [{
             "domain": 0, "structure": "HashSet", "label": "t",
             "commits": 2, "aborts": 1,
@@ -218,4 +232,10 @@ def test_prometheus_rendering_is_pure():
     assert 'repro_admission_checks_total{domain="0",structure="HashSet"' \
         in body
     assert 'repro_abort_rate{quantile="0.5"} 0.25' in body
+    assert "# TYPE repro_server_state_defs_total counter" in body
+    assert "repro_server_state_defs_total 4" in body
+    assert "# TYPE repro_server_state_refs_total counter" in body
+    assert "repro_server_state_refs_total 40" in body
+    assert "# TYPE repro_server_state_entries gauge" in body
+    assert "repro_server_state_entries 3" in body
     assert body.endswith("\n")
